@@ -8,15 +8,13 @@ import (
 	"repro/internal/wire"
 )
 
-// The batched write path shared by the tcp and mux transports: drain the
-// per-edge bounded queue in batches (one lock round-trip per burst, see
-// queue.popBatch), coalesce each batch into a single reused buffer with the
-// length prefixes appended in place (wire.AppendRawFrame), and hand the
-// whole batch to the kernel as one Write syscall. A write failure redials
-// with the unwritten tail retained and replays it — exactly once from the
-// peer's point of view, because a frame cut mid-write died with the broken
-// connection — keeping the redial/backoff semantics of the old
-// one-frame-at-a-time loops.
+// The Mux's batched write path: drain the per-edge bounded queue in
+// batches (one lock round-trip per burst, see queue.popBatch), coalesce
+// each batch into a single reused buffer with the length prefixes appended
+// in place (wire.AppendRawFrame), and hand the whole batch to the kernel as
+// one Write syscall. A write failure redials with the unwritten tail
+// retained and replays it — exactly once from the peer's point of view,
+// because a frame cut mid-write died with the broken connection.
 
 const (
 	// maxBatchFrames caps one coalesced write. The cap bounds both the
@@ -71,7 +69,7 @@ func releaseFrames(frames [][]byte) {
 // write failure, exit when the queue closes or ctx ends. track registers
 // each new connection for the owner's teardown (false means the owner is
 // already stopped). dial must block-retry until ctx ends, returning an
-// error only for shutdown — both transports' diallers do.
+// error only for shutdown — the Mux's dialler does.
 func drainLoop(ctx context.Context, q *queue[[]byte], dial func(context.Context) (net.Conn, error), track func(net.Conn) bool) {
 	var (
 		c       net.Conn

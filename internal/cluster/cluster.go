@@ -3,7 +3,7 @@
 // their adversary-wrapped handlers), connected either by the in-process
 // loopback transport (reliable per-edge FIFO channels through the wire
 // codec — what the tests use) or by TCP sockets on localhost or a real
-// network. It is the execution tier next to internal/sim: the same
+// network, through the same Mux fabric the service tier uses. It is the execution tier next to internal/sim: the same
 // machines, the same topology rules, but actual concurrency and actual
 // serialization instead of a centrally scheduled message pool.
 //

@@ -121,6 +121,32 @@ func TestTCPTwoNodeIntegration(t *testing.T) {
 	}
 }
 
+// TestTCPBeyond255Vertices runs the tcp runtime on a 300-vertex directed
+// cycle: every vertex id above 255 must survive the connection handshake,
+// or the run stalls until its deadline with nobody deciding.
+func TestTCPBeyond255Vertices(t *testing.T) {
+	const n = 300
+	g := graph.DirectedCycle(n)
+	rounds := bw.RoundsFor(1, 0.6)
+	handlers := make([]sim.Handler, n)
+	for i := 0; i < n; i++ {
+		h, err := iterative.NewMachine(g, 0, i, rounds, float64(i%2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers[i] = h
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	out, err := cluster.RunTCP(ctx, cluster.Spec{Graph: g, Handlers: handlers, Honest: graph.FullSet(n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Decided || len(out.Outputs) != n {
+		t.Fatalf("tcp runtime on %d vertices: decided=%v with %d/%d outputs", n, out.Decided, len(out.Outputs), n)
+	}
+}
+
 // TestJoinTCPWithPortCollision exercises the daemon path end to end: two
 // vertices join over real sockets, and the first vertex's configured port
 // is deliberately occupied so Listen must fall back to the next port. The

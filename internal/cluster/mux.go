@@ -13,25 +13,30 @@ import (
 	"repro/internal/wire"
 )
 
-// The Mux is the service tier's transport: one persistent TCP connection
-// per directed edge carrying frames for every concurrent consensus
-// instance (the instance id rides in the wire frame — codec v4), instead
-// of the classic transports' one-cluster-one-instance lifecycle. Per-peer
-// outbound queues are bounded (see queue): a daemon that outruns a slow
+// The Mux is the package's only TCP transport: one persistent TCP
+// connection per directed edge. The service tier runs every concurrent
+// consensus instance over it (the instance id rides in the wire frame —
+// codec v4); the one-shot tcp runtime and JoinTCP run one instance. Per-peer
+// outbound queues are bounded (see queue): a sender that outruns a slow
 // peer blocks on Send — backpressure that propagates to the instance event
 // loops — or sheds on TrySend, both accounted and surfaced through the
-// daemon's metrics plane. Inbound, one reader per in-edge hands raw frames
-// to the dispatcher; a dispatcher that blocks (an instance inbox at
+// daemon's metrics plane. Inbound, one reader per in-edge hands each read
+// burst to the dispatcher; a dispatcher that blocks (an instance inbox at
 // capacity) stalls exactly that one peer connection, which is TCP's own
 // flow control doing the rest.
 
 // muxMagic opens every mux connection; the bytes after it are the wire
-// codec version and the sender's vertex id (two big-endian bytes, so mux
-// clusters can use the full graph.MaxNodes id range — the classic tcp
-// hello's single byte caps at 255).
+// codec version and the sender's vertex id (two big-endian bytes, so
+// clusters can use the full graph.MaxNodes id range).
 var muxMagic = [4]byte{'A', 'B', 'M', 'X'}
 
 const muxHelloLen = 7
+
+// helloTimeout bounds how long an accepted connection may take to send its
+// hello. A dialer writes the hello right after connecting, so only a
+// connection that opens and stays silent hits it — and is closed instead
+// of holding a reader goroutine and a file descriptor until shutdown.
+const helloTimeout = 3 * time.Second
 
 func writeMuxHello(c net.Conn, id int) error {
 	if id < 0 || id > 0xFFFF {
@@ -71,25 +76,20 @@ type MuxConfig struct {
 	Peers map[int]string
 	// QueueCap bounds each per-peer outbound queue (0 = DefaultQueueCap).
 	QueueCap int
-	// OnFrame consumes every inbound frame with the true sender (from the
-	// handshake — the reliable-link model's sender authentication, which
-	// each instance's node re-checks against the frame contents). It is
-	// invoked from per-connection reader goroutines and may block; a
-	// blocked dispatcher stalls only that peer's connection. Ownership of
-	// frame transfers with the call: the bytes are a pooled buffer and the
-	// dispatch chain's final consumer releases them with wire.PutBuf (the
-	// reader never touches the frame again).
-	OnFrame func(from int, frame []byte)
-	// OnFrameBatch, when non-nil, replaces OnFrame on the read path: the
+	// OnFrameBatch consumes every inbound frame with the true sender (from
+	// the handshake — the reliable-link model's sender authentication,
+	// which each instance's node re-checks against the frame contents). The
 	// reader decodes bursts with wire.FrameReader.NextBatch and hands the
 	// whole burst over in one call, each frame's routing header already
 	// peeked into infos[i] (infos[i].Bad marks a frame whose header did not
 	// parse — the consumer accounts for it and releases it). frames[i] is
-	// in per-link arrival order. Ownership of every frame buffer transfers
-	// with the call, but the frames and infos slices themselves remain the
+	// in per-link arrival order. It is invoked from per-connection reader
+	// goroutines and may block; a blocked dispatcher stalls only that
+	// peer's connection. Ownership of every frame buffer transfers with the
+	// call (the bytes are pooled; the final consumer releases them with
+	// wire.PutBuf), but the frames and infos slices themselves remain the
 	// reader's scratch and are reused for the next burst: the consumer must
-	// not retain either slice past return. At least one of OnFrame and
-	// OnFrameBatch must be set; when both are, OnFrameBatch wins.
+	// not retain either slice past return. Required.
 	OnFrameBatch func(from int, frames [][]byte, infos []wire.FrameInfo)
 }
 
@@ -119,7 +119,7 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("cluster: mux needs a listener")
 	}
-	if cfg.OnFrame == nil && cfg.OnFrameBatch == nil {
+	if cfg.OnFrameBatch == nil {
 		return nil, fmt.Errorf("cluster: mux needs a frame dispatcher")
 	}
 	m := &Mux{cfg: cfg, queues: make(map[int]*queue[[]byte])}
@@ -249,7 +249,7 @@ func (m *Mux) teardown() {
 func (m *Mux) Stop() { m.stopOnce.Do(func() { m.teardown(); m.wg.Wait() }) }
 
 // acceptLoop serves inbound edges: handshake, validate the claimed peer
-// against the topology, then hand every frame to the dispatcher.
+// against the topology, then hand every read burst to the dispatcher.
 func (m *Mux) acceptLoop(ctx context.Context) {
 	for {
 		c, err := m.cfg.Listener.Accept()
@@ -262,56 +262,44 @@ func (m *Mux) acceptLoop(ctx context.Context) {
 		m.wg.Add(1)
 		go func(c net.Conn) {
 			defer m.wg.Done()
+			c.SetReadDeadline(time.Now().Add(helloTimeout))
 			peer, err := readMuxHello(c)
 			if err != nil || peer < 0 || peer >= m.cfg.Graph.N() || !m.cfg.Graph.HasEdge(peer, m.cfg.ID) {
-				// Not a cluster member with an edge to us: refuse the link.
+				// Silent, or not a cluster member with an edge to us:
+				// refuse the link.
 				c.Close()
 				return
 			}
+			c.SetReadDeadline(time.Time{})
+			// One NextBatch per socket burst, one dispatcher call per burst.
+			// The scratch slices live for the connection and are reused
+			// every iteration — the dispatcher contract (see
+			// MuxConfig.OnFrameBatch) forbids retaining them, so the steady
+			// state allocates nothing.
 			fr := wire.NewFrameReader(c)
-			if m.cfg.OnFrameBatch != nil {
-				// Batched read path: one NextBatch per socket burst, one
-				// dispatcher call per burst. The scratch slices live for the
-				// connection and are reused every iteration — the dispatcher
-				// contract (see MuxConfig.OnFrameBatch) forbids retaining
-				// them, so the steady state allocates nothing.
-				frames := make([][]byte, 0, maxBatchFrames)
-				infos := make([]wire.FrameInfo, 0, maxBatchFrames)
-				for {
-					var err error
-					frames, infos, err = fr.NextBatch(frames[:0], infos[:0], maxBatchFrames)
-					if err != nil {
-						c.Close()
-						return
-					}
-					if ctx.Err() != nil {
-						releaseFrames(frames)
-						c.Close()
-						return
-					}
-					m.cfg.OnFrameBatch(peer, frames, infos) // frame ownership transfers
-				}
-			}
+			frames := make([][]byte, 0, maxBatchFrames)
+			infos := make([]wire.FrameInfo, 0, maxBatchFrames)
 			for {
-				frame, err := fr.Next()
+				var err error
+				frames, infos, err = fr.NextBatch(frames[:0], infos[:0], maxBatchFrames)
 				if err != nil {
 					c.Close()
 					return
 				}
 				if ctx.Err() != nil {
-					wire.PutBuf(frame)
+					releaseFrames(frames)
 					c.Close()
 					return
 				}
-				m.cfg.OnFrame(peer, frame) // ownership transfers
+				m.cfg.OnFrameBatch(peer, frames, infos) // frame ownership transfers
 			}
 		}(c)
 	}
 }
 
 // dialMux connects to addr with retry/backoff until ctx ends, completing
-// the mux handshake — same start-order independence as the classic tcp
-// transport: whichever daemon starts first keeps knocking.
+// the mux handshake — start-order independence: whichever process starts
+// first keeps knocking until the peer's listener is up.
 func (m *Mux) dialMux(ctx context.Context, addr string) (net.Conn, error) {
 	backoff := dialRetryFloor
 	d := net.Dialer{}
@@ -337,8 +325,7 @@ func (m *Mux) dialMux(ctx context.Context, addr string) (net.Conn, error) {
 // writeLoop drains one peer's bounded queue onto its persistent connection
 // through the shared batched drain (see drainLoop): bursts coalesce into
 // one Write syscall, write failures redial with the unwritten tail
-// retained — identical reconnect discipline to the classic tcp transport,
-// but the connection now outlives any single consensus instance.
+// retained. The connection outlives any single consensus instance.
 func (m *Mux) writeLoop(ctx context.Context, to int, q *queue[[]byte]) {
 	drainLoop(ctx, q, func(ctx context.Context) (net.Conn, error) {
 		return m.dialMux(ctx, m.cfg.Peers[to])

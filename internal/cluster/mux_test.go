@@ -2,8 +2,9 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -30,12 +31,12 @@ func muxPair(t *testing.T, ctx context.Context, qcap int) (ms [2]*Mux, got [2]ch
 		i := i
 		got[i] = make(chan Inbound2, 64)
 		ms[i], err = NewMux(MuxConfig{
-			ID:       i,
-			Graph:    g,
-			Listener: ls[i],
-			Peers:    map[int]string{1 - i: addrs[1-i]},
-			QueueCap: qcap,
-			OnFrame:  func(from int, frame []byte) { got[i] <- Inbound2{from, frame} },
+			ID:           i,
+			Graph:        g,
+			Listener:     ls[i],
+			Peers:        map[int]string{1 - i: addrs[1-i]},
+			QueueCap:     qcap,
+			OnFrameBatch: batchSink(got[i]),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,6 +51,19 @@ type Inbound2 struct {
 	From  int
 	Frame []byte
 }
+
+// batchSink is an OnFrameBatch that forwards every frame of a burst, with
+// its sender, to ch in arrival order.
+func batchSink(ch chan<- Inbound2) func(int, [][]byte, []wire.FrameInfo) {
+	return func(from int, frames [][]byte, _ []wire.FrameInfo) {
+		for _, f := range frames {
+			ch <- Inbound2{from, f}
+		}
+	}
+}
+
+// discardBatch is an OnFrameBatch that releases every frame.
+func discardBatch(_ int, frames [][]byte, _ []wire.FrameInfo) { releaseFrames(frames) }
 
 func recvFrame(t *testing.T, ch chan Inbound2) Inbound2 {
 	t.Helper()
@@ -144,9 +158,9 @@ func TestMuxTrySendShedsWhenFull(t *testing.T) {
 	defer l.Close()
 	m, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l,
-		Peers:    map[int]string{1: "127.0.0.1:1"},
-		QueueCap: 2,
-		OnFrame:  func(int, []byte) {},
+		Peers:        map[int]string{1: "127.0.0.1:1"},
+		QueueCap:     2,
+		OnFrameBatch: discardBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +198,8 @@ func TestMuxLateListener(t *testing.T) {
 	}
 	m0, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l0,
-		Peers:   map[int]string{1: addr1},
-		OnFrame: func(int, []byte) {},
+		Peers:        map[int]string{1: addr1},
+		OnFrameBatch: discardBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +226,8 @@ func TestMuxLateListener(t *testing.T) {
 	got := make(chan Inbound2, 1)
 	m1, err := NewMux(MuxConfig{
 		ID: 1, Graph: g, Listener: l1b,
-		Peers:   map[int]string{0: l0.Addr().String()},
-		OnFrame: func(from int, f []byte) { got <- Inbound2{from, f} },
+		Peers:        map[int]string{0: l0.Addr().String()},
+		OnFrameBatch: batchSink(got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,21 +248,18 @@ func TestMuxLateListener(t *testing.T) {
 func TestMuxRejectsBadHello(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := graph.Clique(2)
+	// A directed 3-cycle (0->1->2->0): vertex 0's only in-edge is from 2,
+	// so vertex 1 is a cluster member without an edge to the listener.
+	g := graph.DirectedCycle(3)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	frames := 0
+	got := make(chan Inbound2, 16)
 	m, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l,
-		Peers: map[int]string{1: "127.0.0.1:1"},
-		OnFrame: func(int, []byte) {
-			mu.Lock()
-			frames++
-			mu.Unlock()
-		},
+		Peers:        map[int]string{1: "127.0.0.1:1"},
+		OnFrameBatch: batchSink(got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,37 +267,140 @@ func TestMuxRejectsBadHello(t *testing.T) {
 	m.Start(ctx)
 	defer m.Stop()
 
-	// Wrong magic: the connection must be refused without dispatching.
+	frame, err := wire.EncodeInstanceMessage(5, transport.Message{
+		From: 2, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// hello writes a raw 7-byte hello; every refused connection also sends
+	// a well-formed frame, which must never reach the dispatcher.
+	hello := func(magic [4]byte, version byte, id uint16) []byte {
+		b := append(magic[:], version, 0, 0)
+		binary.BigEndian.PutUint16(b[5:], id)
+		return b
+	}
+	refused := []struct {
+		name  string
+		hello []byte
+	}{
+		{"bad magic", append([]byte("NOPE"), make([]byte, 3)...)},
+		{"wrong codec version", hello(muxMagic, wire.Version+1, 2)},
+		{"out-of-graph id", hello(muxMagic, wire.Version, 7)},
+		{"in-graph id without an edge to the listener", hello(muxMagic, wire.Version, 1)},
+	}
+	buf := make([]byte, 1)
+	for _, tc := range refused {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(tc.hello)
+		wire.WriteRawFrame(c, frame)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Read(buf); err == nil || isTimeout(err) {
+			t.Fatalf("%s: connection stayed open (read err %v)", tc.name, err)
+		}
+		c.Close()
+	}
+
+	// Control: the in-edge's own vertex is accepted and its frame arrives.
 	c, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Write([]byte("NOPE"))
-	c.Write(make([]byte, 16))
-	buf := make([]byte, 1)
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(buf); err == nil {
-		t.Fatal("connection with bad magic stayed open")
+	defer c.Close()
+	c.Write(hello(muxMagic, wire.Version, 2))
+	wire.WriteRawFrame(c, frame)
+	if in := recvFrame(t, got); in.From != 2 {
+		t.Fatalf("frame attributed to %d, want 2", in.From)
 	}
-	c.Close()
+	select {
+	case in := <-got:
+		t.Fatalf("frame from refused connection dispatched (from %d)", in.From)
+	case <-time.After(50 * time.Millisecond):
+	}
+}
 
-	// Claimed id outside the graph: also refused.
-	c2, err := net.Dial("tcp", l.Addr().String())
+func isTimeout(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// TestMuxHelloDeadline: a connection that opens and never sends its hello
+// is closed by the listener side once helloTimeout passes, instead of
+// holding a reader goroutine and a file descriptor until shutdown.
+func TestMuxHelloDeadline(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMuxHello(c2, 7); err != nil {
+	m, err := NewMux(MuxConfig{
+		ID: 0, Graph: graph.Clique(2), Listener: l,
+		Peers:        map[int]string{1: "127.0.0.1:1"},
+		OnFrameBatch: discardBatch,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	c2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c2.Read(buf); err == nil {
-		t.Fatal("connection claiming an out-of-graph id stayed open")
-	}
-	c2.Close()
+	m.Start(ctx)
+	defer m.Stop()
 
-	mu.Lock()
-	defer mu.Unlock()
-	if frames != 0 {
-		t.Fatalf("%d frames dispatched from refused connections", frames)
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer c.Close()
+	start := time.Now()
+	c.SetReadDeadline(start.Add(helloTimeout + 5*time.Second))
+	_, err = c.Read(make([]byte, 1))
+	if err == nil || isTimeout(err) {
+		t.Fatalf("silent connection not closed by the listener within %v (read err %v)", helloTimeout, err)
+	}
+	if waited := time.Since(start); waited < helloTimeout/2 {
+		t.Fatalf("silent connection closed after %v, before the %v hello deadline", waited, helloTimeout)
+	}
+}
+
+// FuzzMuxHello feeds readMuxHello arbitrary bytes: it must never panic,
+// and it accepts exactly the ABMX magic, the current codec version and a
+// two-byte big-endian id.
+func FuzzMuxHello(f *testing.F) {
+	valid := func(id uint16) []byte {
+		b := append(muxMagic[:], wire.Version, 0, 0)
+		binary.BigEndian.PutUint16(b[5:], id)
+		return b
+	}
+	f.Add(valid(0))
+	f.Add(valid(2))
+	f.Add(valid(0xFFFF))
+	f.Add(append(valid(1), 0xAB, 0xCD))
+	f.Add(valid(1)[:6])
+	f.Add([]byte{})
+	f.Add([]byte("ABAC\x04\x01"))
+	f.Add(append([]byte("ABMX"), wire.Version-1, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			a.Write(data)
+			a.Close()
+		}()
+		id, err := readMuxHello(b)
+		b.Close() // unblocks a writer with bytes past the hello
+		<-done
+		ok := len(data) >= muxHelloLen &&
+			[4]byte(data[:4]) == muxMagic &&
+			data[4] == wire.Version
+		if ok != (err == nil) {
+			t.Fatalf("readMuxHello(%x) err = %v, want accept = %v", data, err, ok)
+		}
+		if ok && id != int(binary.BigEndian.Uint16(data[5:7])) {
+			t.Fatalf("readMuxHello(%x) id = %d", data, id)
+		}
+	})
 }

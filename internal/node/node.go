@@ -81,10 +81,11 @@ func PutSlab(s []Inbound) {
 	}
 }
 
-// Outbound transmits encoded frames toward a peer. Implementations must
-// not block indefinitely on a slow peer — the cluster transports enqueue
-// onto unbounded per-peer queues — because a blocked send path can deadlock
-// two nodes that are flooding each other.
+// Outbound transmits encoded frames toward a peer. The cluster transports
+// enqueue onto bounded per-peer queues (cluster.DefaultQueueCap deep) and
+// block only while a peer's queue is full — backpressure deep enough that
+// two nodes flooding each other do not deadlock in practice, since a send
+// path blocked for good would.
 type Outbound interface {
 	Send(to int, frame []byte) error
 }

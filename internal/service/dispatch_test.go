@@ -210,6 +210,16 @@ func TestDispatchAllocBudget(t *testing.T) {
 	}
 }
 
+// dispatchOne hands d a one-frame burst, its routing header peeked the way
+// the socket reader peeks it (a header that does not parse is marked Bad).
+func dispatchOne(d *Daemon, from int, frame []byte) {
+	fi, err := wire.PeekFrame(frame)
+	if err != nil {
+		fi = wire.FrameInfo{Bad: true}
+	}
+	d.dispatchBatch(from, [][]byte{frame}, []wire.FrameInfo{fi})
+}
+
 // TestDispatchRouteOpenRace is the -race regression fence for the
 // route/open/retire races: a fleet under concurrent submissions (OPEN
 // floods racing protocol traffic through bufferPending and the ready
@@ -272,7 +282,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 				from := (d.ID() + 1) % len(dep.Daemons)
 				// Junk: header does not parse.
 				bad := append(wire.GetBuf(), "garbage-frame"...)
-				d.dispatch(from, bad)
+				dispatchOne(d, from, bad)
 				badInjected.Add(1)
 				for _, inst := range seen {
 					// Duplicate OPEN for a known instance: a no-op against
@@ -284,7 +294,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					d.dispatch(from, open)
+					dispatchOne(d, from, open)
 					// A protocol frame for a decided instance: delivered and
 					// ignored while it lingers, dropped into lateFrames once
 					// retired. Either way it must not wedge the dispatcher.
@@ -296,7 +306,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					d.dispatch(from, frame)
+					dispatchOne(d, from, frame)
 					lateInjected.Add(1)
 				}
 				if len(seen) > 8 {

@@ -254,7 +254,6 @@ func New(cfg Config) (*Daemon, error) {
 		Listener:     cfg.PeerListener,
 		Peers:        cfg.Peers,
 		QueueCap:     cfg.QueueCap,
-		OnFrame:      d.dispatch,
 		OnFrameBatch: d.dispatchBatch,
 	})
 	if err != nil {
@@ -316,26 +315,6 @@ func (d *Daemon) Start(ctx context.Context) {
 // A multiplicative (Fibonacci) hash mixes all the bits into the top ones.
 func (d *Daemon) shard(inst uint64) *routeShard {
 	return &d.shards[(inst*0x9E3779B97F4A7C15)>>(64-routeShardBits)]
-}
-
-// dispatch consumes one peer-plane frame — the per-frame compatibility
-// path (and the unit the batch path is defined in terms of): OPEN
-// announcements spawn instances; protocol frames route to their instance's
-// inbox. The frame is a pooled buffer whose ownership arrives with the
-// call; every path forwards or releases it.
-func (d *Daemon) dispatch(from int, frame []byte) {
-	fi, err := wire.PeekFrame(frame)
-	if err != nil {
-		wire.PutBuf(frame)
-		d.badFr.Add(1)
-		return
-	}
-	if fi.Open {
-		d.handleOpen(fi.Inst, frame)
-		return
-	}
-	group := [1][]byte{frame}
-	d.routeGroup(from, fi.Inst, group[:])
 }
 
 // dispatchBatch consumes one read burst: frames in per-link arrival order,
@@ -550,7 +529,7 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		ID:       d.cfg.ID,
 		Graph:    fac.Graph(),
 		Handler:  h,
-		Out:      muxOutbound{d.mux},
+		Out:      d.mux,
 		InboxCap: d.cfg.InboxCap,
 		Encode: func(dst []byte, m transport.Message) ([]byte, error) {
 			return wire.AppendInstanceMessage(dst, inst, m)
@@ -848,9 +827,3 @@ func (d *Daemon) Close() {
 	d.closeHTTP()
 	d.wg.Wait()
 }
-
-// muxOutbound adapts the Mux to the node's Outbound: blocking bounded
-// sends, i.e. instance event loops feel peer backpressure directly.
-type muxOutbound struct{ mux *cluster.Mux }
-
-func (o muxOutbound) Send(to int, frame []byte) error { return o.mux.Send(to, frame) }

@@ -19,7 +19,7 @@
 //
 // The instance id multiplexes many concurrent consensus instances over one
 // persistent connection — the service tier's pipelining unit. Single-shot
-// runtimes (the classic cluster transports, abacnode) encode and accept
+// runs (the loopback and tcp cluster runtimes, abacnode) encode and accept
 // instance 0 via EncodeMessage/DecodeMessage; the service daemon stamps
 // per-instance ids with EncodeInstanceMessage and routes inbound frames by
 // PeekFrame without paying a full decode.
@@ -121,8 +121,8 @@ const (
 )
 
 // EncodeMessage renders m as one frame body (without the stream length
-// prefix) under instance 0 — the single-shot form the classic cluster
-// transports speak. It fails on payload types the codec does not know and
+// prefix) under instance 0 — the single-shot form the loopback and tcp
+// cluster runtimes speak. It fails on payload types the codec does not know and
 // on messages with negative coordinates.
 func EncodeMessage(m transport.Message) ([]byte, error) {
 	return AppendInstanceMessage(nil, 0, m)
